@@ -366,8 +366,10 @@ func (d *Dispatcher) Arena() *arena.Arena { return d.arena }
 // shard and returns them, index-aligned with the shards. It must be
 // called before the first Handle (the first segment's channel send
 // publishes the counters to its worker); read or merge the counters
-// only after Close. Instrumented scans cost a few percent of
-// throughput.
+// only after Close. Instrumented scans run the emulated vector engine,
+// which counts every kernel event but costs about 3x the native
+// kernel's scan time (see Shard.SetCounters); a resident service wants
+// Observe instead.
 func (d *Dispatcher) InstrumentCounters() []*vpatch.Counters {
 	cs := make([]*vpatch.Counters, len(d.shards))
 	for i, sh := range d.shards {
@@ -380,6 +382,14 @@ func (d *Dispatcher) InstrumentCounters() []*vpatch.Counters {
 // PipelineObserver aggregates race-safe views over a dispatcher's
 // worker shards: scan counters folded in at batch flushes and
 // flow-lifecycle stats published at flushes and segment intervals.
+// Observing leaves the shards on the native scan kernel, so Counters
+// fills exactly BytesScanned and Matches (equal to what an
+// instrumented run counts), the rule-tier RuleAlerts, VerifierRuns and
+// VerifierStates, the budget counters VerifierBudgetExhausted and
+// DegradedFlows, and the fault counters PanicsRecovered and
+// FlowsQuarantined. Kernel-only counters (filter probes, verification
+// work, batch and skip-loop figures) read zero; InstrumentCounters
+// collects them.
 // Counters and FlowStats may be called from any goroutine at any time
 // — while the pipeline is ingesting, and after Close (when they report
 // the final tallies). This is the scrape surface a resident service
@@ -390,9 +400,10 @@ type PipelineObserver struct {
 }
 
 // Observe attaches (or returns the already-attached) observer for this
-// dispatcher. Like InstrumentCounters it must be called before the
-// first Handle, so the attachment is published to the workers by the
-// first segment send.
+// dispatcher; the counters it fills are listed on PipelineObserver.
+// Like InstrumentCounters it must be called before the first Handle,
+// so the attachment is published to the workers by the first segment
+// send. Both may be attached; neither then counts a scan twice.
 func (d *Dispatcher) Observe() *PipelineObserver {
 	if d.obs == nil {
 		o := &PipelineObserver{

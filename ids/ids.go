@@ -134,10 +134,11 @@ type Shard struct {
 	// SetCounters).
 	counters *vpatch.Counters
 
-	// Observer publication (see SetObserver): scans run against
-	// obsScratch, which is folded into obsScan at every flush; flow
-	// lifecycle stats are published into obsFlow at flushes and every
-	// obsPublishEvery segments.
+	// Observer publication (see SetObserver): the shard tallies bytes
+	// scanned and matches reported, and accumulates rule, budget and
+	// fault counters, in obsScratch, which is folded into obsScan at
+	// every flush; flow lifecycle stats are published into obsFlow at
+	// flushes and every obsPublishEvery segments.
 	obsScan      *metrics.Atomic
 	obsFlow      *netsim.AtomicStats
 	obsScratch   vpatch.Counters
@@ -206,7 +207,10 @@ type groupBatch struct {
 	bufs  [][]byte
 	meta  []batchEntry
 	bytes int
-	free  [][]byte
+	// matches counts onMatch calls since the last flush (an observer's
+	// Matches figure).
+	matches uint64
+	free    [][]byte
 	// onMatch is the batch's ScanBatch callback, built once — a fresh
 	// closure per flush would put one heap allocation on the
 	// steady-state ingest path.
@@ -353,16 +357,30 @@ func (e *Engine) SetVerifierBudget(b resil.VerifierBudget) { e.def.SetVerifierBu
 
 // SetCounters attaches scan instrumentation to the shard: every batch
 // scan accumulates into c (bytes scanned, filter probes, matches, lane
-// occupancy, ...). Instrumented scans cost a few percent of
-// throughput; pass nil to detach. The counters follow the shard's
+// occupancy, ...), and so do the rule, budget and fault counters.
+// Instrumented scans run the emulated vector engine, which counts every
+// kernel event exactly but scans about 3x slower than the native
+// kernel; pass nil to detach. The counters follow the shard's
 // single-goroutine rule.
 func (s *Shard) SetCounters(c *vpatch.Counters) { s.counters = c }
 
 // SetObserver attaches race-safe publication sinks to the shard, the
-// mechanism resident services use to scrape a running pipeline: scan
-// counters accumulate privately and are folded into scan (atomically)
-// at every batch flush; flow-lifecycle stats are stored into flow at
-// flushes and every few dozen segments. Either sink may be nil.
+// mechanism resident services use to scrape a running pipeline.
+// Observing does not instrument the scan kernel: batches keep running
+// the native kernel, and the shard fills exactly these counters of
+// scan itself, folded in (atomically) at every batch flush:
+//
+//   - BytesScanned, the bytes handed to the kernel, and Matches, the
+//     matches it reported — the same values an instrumented scan
+//     counts;
+//   - RuleAlerts, VerifierRuns and VerifierStates (rule tier);
+//   - VerifierBudgetExhausted and DegradedFlows (verifier budgets);
+//   - PanicsRecovered and FlowsQuarantined (fault recovery).
+//
+// Kernel-only counters (filter probes, verification work, batch and
+// skip-loop figures) stay zero; SetCounters collects them. Flow-
+// lifecycle stats are stored into flow at flushes and every few dozen
+// segments. Either sink may be nil.
 // Readers call scan.Snapshot / flow.Load from any goroutine at any
 // time. SetObserver follows the shard's single-goroutine rule (attach
 // before the shard starts handling segments).
@@ -404,11 +422,7 @@ func (s *Shard) onFlowClose(k netsim.FlowKey, evicted bool) {
 	if fs.rstate != nil {
 		// The stream has ended: settle suspended regex verifications so
 		// an accepted anchor queued behind a now-unresolvable one fires.
-		c := s.counters
-		if s.obsScan != nil {
-			c = &s.obsScratch
-		}
-		s.ev.FinishFlow(fs.rstate, c, s.ruleEmitter(fs))
+		s.ev.FinishFlow(fs.rstate, s.eventCounters(), s.ruleEmitter(fs))
 		fs.rstate = nil
 	}
 	fs.carry = nil
@@ -593,10 +607,7 @@ func (s *Shard) handleSegmentSafe(seg netsim.Segment) {
 // under a nested recover — the flow's reassembly state may be the
 // corrupted party — with a map-drop fallback.
 func (s *Shard) recoverSegmentPanic(k netsim.FlowKey) {
-	c := s.counters
-	if s.obsScan != nil {
-		c = &s.obsScratch
-	}
+	c := s.eventCounters()
 	if c != nil {
 		c.PanicsRecovered++
 	}
@@ -687,13 +698,6 @@ func (s *Shard) flushGroup(g *group, pb *groupBatch) {
 	if len(pb.bufs) == 0 {
 		return
 	}
-	// With an observer attached, scans instrument a private scratch
-	// that is folded into the atomic sink (and any SetCounters target)
-	// after the batch — the hot loops never touch an atomic.
-	c := s.counters
-	if s.obsScan != nil {
-		c = &s.obsScratch
-	}
 	if pb.onMatch == nil {
 		set := g.eng.Set()
 		switch {
@@ -702,6 +706,7 @@ func (s *Shard) flushGroup(g *group, pb *groupBatch) {
 			// emitting them (ScanBatch match order within one buffer is
 			// not ordered by match end, the evaluator's input contract).
 			pb.onMatch = func(buf int, m vpatch.Match) {
+				pb.matches++
 				ent := &pb.meta[buf]
 				end := int(m.Pos) + set.Pattern(m.PatternID).Len()
 				if end <= ent.carryLen {
@@ -713,6 +718,7 @@ func (s *Shard) flushGroup(g *group, pb *groupBatch) {
 			}
 		default:
 			pb.onMatch = func(buf int, m vpatch.Match) {
+				pb.matches++
 				ent := &pb.meta[buf]
 				// Matches ending inside the carry prefix were reported by
 				// the batch that scanned those stream bytes first.
@@ -728,22 +734,55 @@ func (s *Shard) flushGroup(g *group, pb *groupBatch) {
 			}
 		}
 	}
-	s.session(g).ScanBatch(pb.bufs, c, pb.onMatch)
+	// Only an explicit SetCounters target instruments the scan kernel.
+	// An observer's figures accumulate in a private scratch (the batch
+	// tallies its own bytes and matches; rule counters land there
+	// directly) that is folded into the atomic sink after the batch —
+	// the hot loops never touch an atomic.
+	s.session(g).ScanBatch(pb.bufs, s.counters, pb.onMatch)
+	if s.obsScan != nil {
+		s.obsScratch.BytesScanned += uint64(pb.bytes)
+		s.obsScratch.Matches += pb.matches
+	}
 	if s.ev != nil {
-		s.evalRuleHits(pb, c)
+		s.evalRuleHits(pb, s.eventCounters())
 	}
 	pb.free = append(pb.free, pb.bufs...)
 	pb.bufs = pb.bufs[:0]
 	pb.meta = pb.meta[:0]
 	pb.bytes = 0
+	pb.matches = 0
 	if s.obsScan != nil {
-		if s.counters != nil {
-			s.counters.Add(&s.obsScratch)
-		}
-		s.obsScan.AddCounters(&s.obsScratch)
-		s.obsScratch.Reset()
+		s.publishObs()
 		s.publishFlowStats()
 	}
+}
+
+// eventCounters returns where rule, budget and fault counters go: the
+// observer scratch when an observer is attached (publishObs forwards
+// them to any SetCounters target), else the SetCounters target, if any.
+func (s *Shard) eventCounters() *vpatch.Counters {
+	if s.obsScan != nil {
+		return &s.obsScratch
+	}
+	return s.counters
+}
+
+// publishObs folds the observer scratch into the atomic sink and any
+// SetCounters target, then clears it. The scratch's BytesScanned and
+// Matches are the shard's own tallies of kernel work that an attached
+// SetCounters target already counted in the kernel, so only the atomic
+// sink receives them.
+func (s *Shard) publishObs() {
+	o := &s.obsScratch
+	if s.counters != nil {
+		bytes, matches := o.BytesScanned, o.Matches
+		o.BytesScanned, o.Matches = 0, 0
+		s.counters.Add(o)
+		o.BytesScanned, o.Matches = bytes, matches
+	}
+	s.obsScan.AddCounters(o)
+	o.Reset()
 }
 
 // Flush scans every pending batch immediately. Call it after the last
@@ -758,11 +797,7 @@ func (s *Shard) Flush() {
 	// publish final lifecycle gauges even when no batch held jobs, so
 	// eviction- or teardown-only activity reaches scrapers too.
 	if s.obsScan != nil {
-		if s.counters != nil {
-			s.counters.Add(&s.obsScratch)
-		}
-		s.obsScan.AddCounters(&s.obsScratch)
-		s.obsScratch.Reset()
+		s.publishObs()
 	}
 	s.publishFlowStats()
 }

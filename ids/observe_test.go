@@ -192,3 +192,106 @@ func TestDispatcherFlushAll(t *testing.T) {
 	}
 	d.FlushAll() // no-op after Close, must not hang or panic
 }
+
+// TestObserverScanCountsMatchInstrumented: an observed dispatcher keeps
+// its shards on the native kernel and counts BytesScanned and Matches
+// itself. Both figures must equal an InstrumentCounters run over the
+// same segments, kernel-only counters must stay zero in the observer,
+// and attaching both must count no scan twice.
+func TestObserverScanCountsMatchInstrumented(t *testing.T) {
+	literal, err := NewEngine(mixedRuleSet(), vpatch.Options{}, func(Alert) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ruleDB, err := NewRuleEngine(parseRules(t, 0,
+		`alert tcp any any -> any 80 (msg:"probe"; content:"GET /"; depth:16; content:"admin"; nocase; distance:0; within:64; sid:1;)`,
+		`alert tcp any any -> any 80 (msg:"tok"; content:"token="; pcre:"/[0-9a-f]{8}/"; sid:2;)`,
+	), vpatch.Options{}, func(Alert) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := map[netsim.FlowKey][]byte{}
+	for i := 0; i < 60; i++ {
+		streams[key(i, 80)] = []byte(fmt.Sprintf(
+			"GET /aDmIn/%d http-attack-xyz token=deadbeef%02x generic-bad-001 tail http-attack-xyz", i, i))
+		streams[key(100+i, 53)] = []byte(fmt.Sprintf("dns-poison-abc %d generic-bad-001", i))
+	}
+	segs := netsim.Packetize(streams, netsim.PacketizeOptions{MTU: 16, Jitter: 3, Seed: 11, FIN: true})
+
+	type run struct {
+		obs, instr vpatch.Counters
+		alerts     int64
+	}
+	dispatch := func(e *Engine, shards int, observe, instrument bool) run {
+		var alerts atomic.Int64
+		d := e.NewDispatcher(shards, netsim.Limits{}, func(Alert) { alerts.Add(1) })
+		var o *PipelineObserver
+		var cs []*vpatch.Counters
+		if observe {
+			o = d.Observe()
+		}
+		if instrument {
+			cs = d.InstrumentCounters()
+		}
+		for _, s := range segs {
+			d.Handle(s)
+		}
+		d.Close()
+		r := run{alerts: alerts.Load()}
+		if o != nil {
+			r.obs = o.Counters()
+		}
+		for _, c := range cs {
+			r.instr.Add(c)
+		}
+		return r
+	}
+
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+	}{{"literal", literal}, {"rules", ruleDB}} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
+				obs := dispatch(tc.e, shards, true, false)
+				instr := dispatch(tc.e, shards, false, true)
+				both := dispatch(tc.e, shards, true, true)
+
+				want := instr.instr
+				if want.BytesScanned == 0 || want.Matches == 0 || want.Filter1Probes == 0 {
+					t.Fatalf("instrumented run saw no kernel work: %+v", want)
+				}
+				if obs.alerts != instr.alerts || both.alerts != instr.alerts {
+					t.Fatalf("alerts: observed %d, instrumented %d, both %d",
+						obs.alerts, instr.alerts, both.alerts)
+				}
+				for _, got := range []struct {
+					what string
+					c    vpatch.Counters
+				}{{"observer", obs.obs}, {"observer beside SetCounters", both.obs}, {"SetCounters beside observer", both.instr}} {
+					if got.c.BytesScanned != want.BytesScanned || got.c.Matches != want.Matches {
+						t.Errorf("%s: BytesScanned=%d Matches=%d, instrumented run counted %d and %d",
+							got.what, got.c.BytesScanned, got.c.Matches, want.BytesScanned, want.Matches)
+					}
+					if got.c.RuleAlerts != want.RuleAlerts {
+						t.Errorf("%s: RuleAlerts=%d, instrumented run counted %d",
+							got.what, got.c.RuleAlerts, want.RuleAlerts)
+					}
+				}
+				if tc.e.rules != nil && want.RuleAlerts == 0 {
+					t.Fatal("rule database fired no rule alert")
+				}
+				for _, o := range []vpatch.Counters{obs.obs, both.obs} {
+					if o.Filter1Probes != 0 || o.BatchIters != 0 {
+						t.Errorf("observer reports kernel-only counters: Filter1Probes=%d BatchIters=%d",
+							o.Filter1Probes, o.BatchIters)
+					}
+				}
+				if both.instr.Filter1Probes != want.Filter1Probes {
+					t.Errorf("SetCounters beside an observer: Filter1Probes=%d, alone %d",
+						both.instr.Filter1Probes, want.Filter1Probes)
+				}
+			})
+		}
+	}
+}

@@ -20,9 +20,10 @@
 //
 //   - Teardown: a FIN segment marks the end of the stream; once every
 //     byte up to the FIN has been delivered the flow is closed. RST
-//     closes immediately, dropping buffered data. Closed flows keep a
-//     cheap tombstone so late retransmits are dropped instead of being
-//     misread as a new stream.
+//     closes immediately, dropping buffered data. A closed flow's state
+//     is released; only a compact tombstone (key and teardown time)
+//     remains, so late retransmits are dropped instead of being misread
+//     as a new stream.
 //   - Eviction: SetLimits arms a hard cap on tracked flows and an idle
 //     timeout driven by capture timestamps (an LRU list orders flows by
 //     last activity). Evicting an open flow drops its buffered bytes
@@ -298,9 +299,13 @@ func seqBefore(a, b uint32) bool { return int32(a-b) < 0 }
 // unlimited everywhere — the polite-traffic mode small tests use;
 // production pipelines should set every field.
 type Limits struct {
-	// MaxFlows caps tracked flows (including closed flows awaiting
-	// tombstone expiry). When a new flow would exceed the cap the
-	// least-recently-active flow is evicted. 0 = unlimited.
+	// MaxFlows caps tracked flows, counting the tombstones closed flows
+	// leave until they expire. When a new flow would exceed the cap the
+	// least recently active entry goes: the open flow touched longest
+	// ago, or the oldest tombstone if its teardown came before that
+	// touch. A tombstone is a key in a set plus a (key, teardown time)
+	// entry in a teardown-ordered FIFO, about 50 heap bytes. 0 =
+	// unlimited.
 	MaxFlows int
 	// IdleTimeoutMicros evicts flows with no activity for this many
 	// capture-clock microseconds (the clock is the maximum segment
@@ -422,9 +427,10 @@ type pseg struct {
 	buf  *arena.Buf
 }
 
-// flowState is the per-flow reassembly state. States are linked into an
-// LRU list ordered by last activity; closed flows stay listed as
-// tombstones (pending freed, closed set) until evicted or expired, so
+// flowState is the per-flow reassembly state of an open flow. States
+// are linked into an LRU list ordered by last activity. Teardown
+// releases the state: the flow leaves the map and the list and becomes
+// a tombstone (see Reassembler.tombs), until evicted or expired, so
 // late retransmits are recognized and dropped.
 type flowState struct {
 	key  FlowKey
@@ -436,14 +442,27 @@ type flowState struct {
 	lastTs       uint64
 	finSeq       uint32 // end-of-stream offset, valid when finSeen
 	finSeen      bool
-	closed       bool
 	// delivered records whether any in-order byte ever reached the
 	// sink: it separates a jittered young flow from a mid-stream joiner
 	// when the reorder budget fills.
 	delivered bool
 
+	// tombMark is the number of tombstones ever queued at the flow's
+	// last activity: tombstones with a lower index were closed before
+	// it, which orders the two lists for cap eviction.
+	tombMark         uint64
 	lruPrev, lruNext *flowState
 }
+
+// tombstone is the record a closed flow leaves in the teardown FIFO.
+// The teardown time is split into two 32-bit words so the entry packs
+// into 20 bytes instead of 24.
+type tombstone struct {
+	key        FlowKey
+	tsHi, tsLo uint32
+}
+
+func (t tombstone) ts() uint64 { return uint64(t.tsHi)<<32 | uint64(t.tsLo) }
 
 // Reassembler restores per-flow payload streams from segments arriving
 // in capture order, tolerating reordering, duplicates and overlaps.
@@ -460,8 +479,18 @@ type Reassembler struct {
 	flows   map[FlowKey]*flowState
 	limits  Limits
 
-	// LRU list of flow states: lruHead is least recently active.
+	// LRU list of open flow states: lruHead is least recently active.
 	lruHead, lruTail *flowState
+
+	// Closed flows: the key set, and a FIFO of tombstones in teardown
+	// order, tombQ[tombHead:]. The capture clock never decreases, so
+	// teardown order is expiry order. tombsQueued counts tombstones
+	// ever queued (the FIFO head's index is tombsQueued minus the
+	// queue's length).
+	tombs       map[FlowKey]struct{}
+	tombQ       []tombstone
+	tombHead    int
+	tombsQueued uint64
 
 	now          uint64 // capture clock: max timestamp seen
 	totalPending int
@@ -482,7 +511,11 @@ const maxFreeBufs = 64
 // slices per flow to sink. It starts unlimited (see SetLimits) with no
 // close hook (see OnClose).
 func NewReassembler(sink func(FlowKey, []byte)) *Reassembler {
-	return &Reassembler{sink: sink, flows: make(map[FlowKey]*flowState)}
+	return &Reassembler{
+		sink:  sink,
+		flows: make(map[FlowKey]*flowState),
+		tombs: make(map[FlowKey]struct{}),
+	}
 }
 
 // SetLimits arms the reassembler's memory bounds. It may be called at
@@ -509,6 +542,15 @@ func (r *Reassembler) Add(seg Segment) {
 	}
 	st := r.flows[seg.Flow]
 	if st == nil {
+		if _, closed := r.tombs[seg.Flow]; closed {
+			// Late retransmit after teardown: the stream already
+			// ended. Deliberately no refresh — a retransmit flood
+			// must not keep tombstones alive at the expense of live
+			// flows; the tombstone expires on its teardown-time clock.
+			r.bytesDropped += uint64(len(seg.Payload))
+			r.expireIdle()
+			return
+		}
 		if seg.Flags&FlagRST != 0 || len(seg.Payload) == 0 {
 			// Control-only segment (RST, bare FIN, keepalive) for an
 			// untracked flow: there is nothing to reassemble or tear
@@ -520,8 +562,8 @@ func (r *Reassembler) Add(seg Segment) {
 		}
 		r.expireIdle()
 		if r.limits.MaxFlows > 0 {
-			for len(r.flows) >= r.limits.MaxFlows && r.lruHead != nil {
-				r.evict(r.lruHead)
+			for r.tracked() >= r.limits.MaxFlows && r.tracked() > 0 {
+				r.evictOldest()
 			}
 		}
 		// Streams start at Seq 0 in this model; a nonzero first arrival
@@ -529,19 +571,10 @@ func (r *Reassembler) Add(seg Segment) {
 		st = &flowState{key: seg.Flow, lastTs: r.now}
 		r.flows[seg.Flow] = st
 		r.lruPush(st)
-		if len(r.flows) > r.peakFlows {
-			r.peakFlows = len(r.flows)
+		if n := r.tracked(); n > r.peakFlows {
+			r.peakFlows = n
 		}
 	} else {
-		if st.closed {
-			// Late retransmit after teardown: the stream already
-			// ended. Deliberately no LRU touch — a retransmit flood
-			// must not keep tombstones alive at the expense of live
-			// flows; the tombstone expires on its teardown-time clock.
-			r.bytesDropped += uint64(len(seg.Payload))
-			r.expireIdle()
-			return
-		}
 		st.lastTs = r.now
 		r.lruTouch(st)
 		r.expireIdle()
@@ -758,31 +791,61 @@ func (r *Reassembler) dropPending(st *flowState, i int) {
 }
 
 // closeFlow performs normal teardown: buffered data past the end of the
-// stream is discarded and the state becomes a tombstone (kept in the
-// map and LRU so late retransmits are dropped, expired like any idle
-// flow).
+// stream is discarded and the state is released, leaving a tombstone
+// so late retransmits are dropped. The closing segment made the flow
+// the most recently active one, so the tombstone joins the FIFO tail
+// stamped with that segment's time.
 func (r *Reassembler) closeFlow(st *flowState) {
 	r.freePending(st, true)
-	st.closed = true
-	st.finSeen = false
+	r.lruRemove(st)
+	delete(r.flows, st.key)
+	r.tombs[st.key] = struct{}{}
+	r.tombQ = append(r.tombQ, tombstone{key: st.key, tsHi: uint32(st.lastTs >> 32), tsLo: uint32(st.lastTs)})
+	r.tombsQueued++
 	r.flowsClosed++
 	if r.onClose != nil {
 		r.onClose(st.key, false)
 	}
 }
 
-// evict removes a flow outright — the cap/idle-timeout path. Open flows
-// count as evicted and fire the hook; closed tombstones just expire.
+// evict removes an open flow outright — the cap/idle-timeout path. It
+// counts as evicted, its buffered bytes as dropped, and fires the hook.
 func (r *Reassembler) evict(st *flowState) {
-	open := !st.closed
-	r.freePending(st, open)
+	r.freePending(st, true)
 	r.lruRemove(st)
 	delete(r.flows, st.key)
-	if open {
-		r.flowsEvicted++
-		if r.onClose != nil {
-			r.onClose(st.key, true)
-		}
+	r.flowsEvicted++
+	if r.onClose != nil {
+		r.onClose(st.key, true)
+	}
+}
+
+// tracked is the number of tracked flows: open ones plus tombstones.
+func (r *Reassembler) tracked() int { return len(r.flows) + len(r.tombQ) - r.tombHead }
+
+// evictOldest drops the least recently active entry for the flow cap:
+// the FIFO's oldest tombstone when its flow closed before the LRU
+// head's last activity, else the LRU head.
+func (r *Reassembler) evictOldest() {
+	if r.tombHead < len(r.tombQ) &&
+		(r.lruHead == nil || r.tombsQueued-uint64(len(r.tombQ)-r.tombHead) < r.lruHead.tombMark) {
+		r.expireTomb()
+		return
+	}
+	r.evict(r.lruHead)
+}
+
+// expireTomb forgets the oldest tombstone. The FIFO's dead prefix is
+// reclaimed once it is at least half the backing slice, so pops stay
+// amortized O(1) and the slice stays within twice the live count.
+func (r *Reassembler) expireTomb() {
+	delete(r.tombs, r.tombQ[r.tombHead].key)
+	r.tombHead++
+	switch {
+	case r.tombHead == len(r.tombQ):
+		r.tombQ, r.tombHead = r.tombQ[:0], 0
+	case r.tombHead >= 64 && 2*r.tombHead >= len(r.tombQ):
+		r.tombQ, r.tombHead = r.tombQ[:copy(r.tombQ, r.tombQ[r.tombHead:])], 0
 	}
 }
 
@@ -801,8 +864,9 @@ func (r *Reassembler) freePending(st *flowState, countDropped bool) {
 	st.pendingBytes = 0
 }
 
-// expireIdle evicts flows (and expires tombstones) whose last activity
-// is older than the idle timeout on the capture clock.
+// expireIdle evicts open flows whose last activity, and expires
+// tombstones whose teardown, is older than the idle timeout on the
+// capture clock.
 func (r *Reassembler) expireIdle() {
 	lim := r.limits.IdleTimeoutMicros
 	if lim == 0 {
@@ -810,6 +874,9 @@ func (r *Reassembler) expireIdle() {
 	}
 	for r.lruHead != nil && r.now-r.lruHead.lastTs > lim {
 		r.evict(r.lruHead)
+	}
+	for r.tombHead < len(r.tombQ) && r.now-r.tombQ[r.tombHead].ts() > lim {
+		r.expireTomb()
 	}
 }
 
@@ -849,6 +916,7 @@ func (r *Reassembler) recycle(data []byte, b *arena.Buf) {
 
 // lruPush appends st as the most recently active flow.
 func (r *Reassembler) lruPush(st *flowState) {
+	st.tombMark = r.tombsQueued
 	st.lruPrev = r.lruTail
 	st.lruNext = nil
 	if r.lruTail != nil {
@@ -875,6 +943,7 @@ func (r *Reassembler) lruRemove(st *flowState) {
 
 func (r *Reassembler) lruTouch(st *flowState) {
 	if r.lruTail == st {
+		st.tombMark = r.tombsQueued // flows that closed since are older
 		return
 	}
 	r.lruRemove(st)
@@ -884,7 +953,7 @@ func (r *Reassembler) lruTouch(st *flowState) {
 // Stats returns the lifecycle and drop counters.
 func (r *Reassembler) Stats() Stats {
 	return Stats{
-		Flows:        len(r.flows),
+		Flows:        r.tracked(),
 		PeakFlows:    r.peakFlows,
 		FlowsClosed:  r.flowsClosed,
 		FlowsEvicted: r.flowsEvicted,
@@ -900,4 +969,4 @@ func (r *Reassembler) PendingBytes() int { return r.totalPending }
 
 // Flows returns the number of flows tracked, including closed flows
 // awaiting tombstone expiry.
-func (r *Reassembler) Flows() int { return len(r.flows) }
+func (r *Reassembler) Flows() int { return r.tracked() }

@@ -527,11 +527,12 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	defer g.release()
 	resp := scanResponse{Tenant: t.name, Generation: g.gen, Port: port,
 		Bytes: len(body), Matches: []matchOut{}}
-	var c vpatch.Counters
-	g.eng.ScanBuffer(port, body, &c, func(id int32, pos int64) {
+	// Scanned on the native kernel (nil counters); the two figures
+	// /metrics reports are counted here.
+	n := g.eng.ScanBuffer(port, body, nil, func(id int32, pos int64) {
 		resp.Matches = append(resp.Matches, matchOut{PatternID: id, Offset: pos})
 	})
-	t.httpScan.AddCounters(&c)
+	t.httpScan.AddCounters(&vpatch.Counters{BytesScanned: uint64(len(body)), Matches: uint64(n)})
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -738,8 +739,10 @@ func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request, name strin
 }
 
 // handleMetrics renders the Prometheus text exposition: matcher,
-// accel, reassembly and per-tenant counters, reload generation/age,
-// and request latency histograms.
+// reassembly and per-tenant counters, reload generation/age, and
+// request latency histograms. Scans run the native kernel, which
+// counts nothing itself, so only the figures the pipeline counts
+// around it (bytes, matches, rule and resilience events) are exported.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var b strings.Builder
 
@@ -778,16 +781,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(i int) float64 { return float64(scans[i].BytesScanned) })
 	counter("vpatch_matches_total", "Pattern occurrences found (stream and one-shot scans).",
 		func(i int) float64 { return float64(scans[i].Matches) })
-	promFamily(&b, "vpatch_filter_probes_total", "counter", "Scalar filter probes by filter stage.")
-	for i, r := range rows {
-		promSample(&b, "vpatch_filter_probes_total", tenantLabel(r.name)+`,filter="1"`, float64(scans[i].Filter1Probes))
-		promSample(&b, "vpatch_filter_probes_total", tenantLabel(r.name)+`,filter="2"`, float64(scans[i].Filter2Probes))
-		promSample(&b, "vpatch_filter_probes_total", tenantLabel(r.name)+`,filter="3"`, float64(scans[i].Filter3Probes))
-	}
-	counter("vpatch_verify_bytes_total", "Pattern bytes compared during verification.",
-		func(i int) float64 { return float64(scans[i].VerifyBytes) })
-	counter("vpatch_batch_iters_total", "Batched (lane-per-packet) filtering steps.",
-		func(i int) float64 { return float64(scans[i].BatchIters) })
 
 	// Rule tier (rule-conditioned databases only; zero otherwise).
 	counter("vpatch_rule_alerts_total", "Completed rule alerts (all clauses satisfied, regex verified).",
@@ -820,14 +813,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(i int) float64 { return float64(scheds[i].DroppedBytes) })
 	gauge("vpatch_sched_queued_bytes", "Segment bytes waiting on the tenant's scheduler queue.",
 		func(i int) float64 { return float64(scheds[i].QueuedBytes) })
-
-	// Acceleration counters.
-	counter("vpatch_accel_skipped_bytes_total", "Input bytes cleared by the skip-loop accelerator without probing.",
-		func(i int) float64 { return float64(scans[i].SkippedBytes) })
-	counter("vpatch_accel_chances_total", "Skip-loop invocations.",
-		func(i int) float64 { return float64(scans[i].AccelChances) })
-	counter("vpatch_accel_runs_total", "Skip-loop invocations that cleared a run of at least 8 bytes.",
-		func(i int) float64 { return float64(scans[i].AccelRuns) })
 
 	// Reassembly / flow lifecycle.
 	gauge("vpatch_flows", "Currently tracked flows (including close tombstones).",

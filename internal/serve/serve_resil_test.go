@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"vpatch/internal/netsim"
+	"vpatch/internal/resil/chaos"
 )
 
 // TestIngestIdleTeardown: a hello-then-silence connection (slow loris)
@@ -56,6 +57,72 @@ func TestIngestIdleTeardown(t *testing.T) {
 	}
 	srv.Drain(5 * time.Second)
 	<-done
+}
+
+// TestIngestDrainReadsStalledFrames: a connection whose reader stalls
+// past its batch linger deadline while Drain begins must still read
+// every frame the peer wrote before closing. The expired deadline
+// fails the next read before it reaches the socket, so only a read
+// that finds the socket empty may end a draining connection.
+func TestIngestDrainReadsStalledFrames(t *testing.T) {
+	defer chaos.Reset()
+	srv := New(Config{})
+	if _, err := srv.CreateTenant(DefaultTenant, TenantConfig{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Tenant(DefaultTenant).Reload(ruleBlob(t, "http-attack-xyz")); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.ServeIngest(ln) }()
+
+	stalled, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	chaos.Set(chaos.IngestFrame, func(any) {
+		once.Do(func() { close(stalled); <-release })
+	})
+
+	conn, err := DialIngest(ln.Addr().String(), DefaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flows = 40
+	var feed []byte
+	sent := 0
+	for i := 0; i < flows; i++ {
+		k := netsim.FlowKey{SrcIP: uint32(300 + i), DstIP: 7, SrcPort: uint16(i + 1), DstPort: 80}
+		segs := flowSegments(k, []byte(fmt.Sprintf("flow %d carries http-attack-xyz payload", i)))
+		for _, sg := range segs {
+			sent += len(sg.Payload)
+		}
+		feed = append(feed, EncodeSegments(segs)...)
+	}
+	if _, err := conn.Write(feed); err != nil { // well under a socket buffer
+		t.Fatal(err)
+	}
+	conn.Close()
+
+	<-stalled // the reader holds its first frame
+	drained := make(chan DrainReport, 1)
+	go func() { drained <- srv.Drain(10 * time.Second) }()
+	for !srv.draining.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(4 * ingestBatchLinger) // the batch's linger deadline passes
+	close(release)
+	rep := <-drained
+	<-done
+
+	if got := srv.SchedStats(DefaultTenant).DispatchedBytes; got != uint64(sent) {
+		t.Fatalf("scheduler dispatched %d of %d bytes written before the peer closed", got, sent)
+	}
+	if got := rep.Tenants[DefaultTenant].Alerts; got != flows || !rep.Clean {
+		t.Fatalf("drain report %+v, want %d alerts, clean", rep, flows)
+	}
 }
 
 // TestIngestMidFrameReset: a connection that dies mid-frame (RST) must

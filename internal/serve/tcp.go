@@ -29,8 +29,9 @@ const (
 	ingestPollInterval = 500 * time.Millisecond
 	// ingestFrameTimeout kills a connection that stalls mid-frame.
 	ingestFrameTimeout = 30 * time.Second
-	// ingestBatchLinger is how long a non-empty dispatch batch may wait
-	// for the next frame before being handed to the workers.
+	// ingestBatchLinger is how long after a frame's arrival a non-empty
+	// dispatch batch may wait for the next frame before being handed to
+	// the workers.
 	ingestBatchLinger = 5 * time.Millisecond
 	maxHelloLen       = 256
 )
@@ -95,14 +96,16 @@ func (b *bufferedConn) Read(p []byte) (int, error) {
 }
 
 // waitByte blocks until at least one byte is available (buffering it),
-// the deadline d elapses (returns errIdle), or the peer closes.
+// the deadline passes (returns errIdle), or the peer closes. A deadline
+// that has already passed returns errIdle without reading the socket:
+// the read it bounds never ran (see readNow).
 var errIdle = errors.New("idle")
 
-func (b *bufferedConn) waitByte(d time.Duration) error {
+func (b *bufferedConn) waitByte(deadline time.Time) error {
 	if len(b.buf) > 0 {
 		return nil
 	}
-	b.c.SetReadDeadline(time.Now().Add(d))
+	b.c.SetReadDeadline(deadline)
 	one := make([]byte, 1)
 	n, err := b.c.Read(one)
 	b.c.SetReadDeadline(time.Time{})
@@ -113,6 +116,22 @@ func (b *bufferedConn) waitByte(d time.Duration) error {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		return errIdle
+	}
+	return err
+}
+
+// readNow makes one read attempt that no deadline can pre-empt:
+// nil with a byte buffered, errIdle when the socket holds no unread
+// byte, io.EOF or another error when the peer closed or failed.
+func (b *bufferedConn) readNow() error {
+	if len(b.buf) > 0 {
+		return nil
+	}
+	one := make([]byte, 1)
+	n, err := readNonblock(b.c, one)
+	if n > 0 {
+		b.buf = append(b.buf, one[:n]...)
+		return nil
 	}
 	return err
 }
@@ -157,16 +176,27 @@ func (s *Server) serveIngestConn(conn net.Conn) {
 	}
 	defer flushBatch()
 	idleSince := time.Now()
+	var lingerUntil time.Time // a non-empty batch's flush deadline
 	for {
 		// Wait for the next frame's first byte with a short deadline so
 		// idle connections notice drains and idle-timeout promptly. A
-		// non-empty batch only waits the linger bound.
+		// non-empty batch only waits out the linger bound.
 		for {
-			wait := ingestPollInterval
+			deadline := time.Now().Add(ingestPollInterval)
 			if len(batch) > 0 {
-				wait = ingestBatchLinger
+				deadline = lingerUntil
 			}
-			err := bc.waitByte(wait)
+			err := bc.waitByte(deadline)
+			if err == errIdle {
+				flushBatch() // idle: hand lingering segments to the scheduler
+				if s.draining.Load() {
+					// The deadline may have passed before the read it
+					// bounds ran (a stalled goroutine), with frames still
+					// unread: leave only once a read finds the socket
+					// empty.
+					err = bc.readNow()
+				}
+			}
 			if err == nil {
 				break
 			}
@@ -184,7 +214,6 @@ func (s *Server) serveIngestConn(conn net.Conn) {
 				}
 				return
 			}
-			flushBatch() // idle: hand lingering segments to the scheduler
 			if s.draining.Load() {
 				return
 			}
@@ -200,6 +229,7 @@ func (s *Server) serveIngestConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
+		lingerUntil = time.Now().Add(ingestBatchLinger)
 		if chaos.Armed() {
 			chaos.Fire(chaos.IngestFrame, t.name)
 		}
@@ -232,4 +262,17 @@ func DialIngest(addr, tenant string) (net.Conn, error) {
 		return nil, err
 	}
 	return conn, nil
+}
+
+// lingerRead reads into p with a fresh deadline one batch linger away,
+// mapping a timeout to errIdle.
+func lingerRead(c net.Conn, p []byte) (int, error) {
+	c.SetReadDeadline(time.Now().Add(ingestBatchLinger))
+	n, err := c.Read(p)
+	c.SetReadDeadline(time.Time{})
+	var ne net.Error
+	if n == 0 && errors.As(err, &ne) && ne.Timeout() {
+		return 0, errIdle
+	}
+	return n, err
 }
